@@ -19,8 +19,9 @@ claims are checked:
   stay under :data:`TAIL_P95_LIMIT` (throughput bought by letting
   individual explanations crawl is not a win).
 
-Timing covers the replay (submit + drain) only; process spawn and stream
-registration happen before the clock starts.
+Timing covers the replay (submit + drain) only; process spawn, stream
+registration and worker boot (``wait_ready()``) happen before the clock
+starts.
 
 Run it directly (the CI smoke job does)::
 
@@ -77,12 +78,9 @@ def run_backend(
     chunk: int,
     executor: str,
     shards: int | None = None,
-    transport: str = "framed",
 ):
     """One replay; returns (replay_seconds, report, executor_stats)."""
-    kwargs = {"shards": shards, "transport": transport} if shards is not None else {
-        "workers": 4
-    }
+    kwargs = {"shards": shards} if shards is not None else {"workers": 4}
     with ExplanationService(
         executor=executor,
         max_batch=8,
@@ -93,6 +91,8 @@ def run_backend(
     ) as service:
         for stream_id in fleet:
             service.register(stream_id)
+        if not service.wait_ready(timeout=120):
+            raise RuntimeError(f"{executor} workers did not boot within 120 s")
         longest = max(values.size for values in fleet.values())
         started = time.perf_counter()
         for start in range(0, longest, chunk):
@@ -111,10 +111,6 @@ def main(argv=None) -> int:
                         help="small workload for CI smoke runs")
     parser.add_argument("--shards", type=int, nargs="+", default=[1, 2, 4],
                         help="process shard counts to sweep (default: 1 2 4)")
-    parser.add_argument("--transport", choices=("framed", "legacy"),
-                        default="framed",
-                        help="wire transport of the process runs "
-                             "(default framed)")
     parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT,
                         help="where to write the machine-readable JSON")
     args = parser.parse_args(argv)
@@ -136,8 +132,7 @@ def main(argv=None) -> int:
     runs, canonicals = [], {}
     for label, executor, shards in plans:
         seconds, report, xstats = run_backend(
-            fleet, scale["window"], scale["chunk"], executor, shards,
-            transport=args.transport,
+            fleet, scale["window"], scale["chunk"], executor, shards
         )
         canonicals[label] = json.dumps(report.canonical_dict(), sort_keys=True)
         run = {
@@ -160,7 +155,6 @@ def main(argv=None) -> int:
             ingests = xstats.get("ingests", 0) or 1
             total = shm_bytes + inline_bytes
             run.update({
-                "transport": xstats.get("transport"),
                 "frame_size": xstats.get("frame_size"),
                 "frames_sent": xstats.get("frames_sent", 0),
                 "payload_bytes_shm": shm_bytes,
@@ -169,7 +163,7 @@ def main(argv=None) -> int:
                 "pickle_avoidance": round(shm_bytes / total, 4) if total else None,
             })
             if total:
-                wire = (f"   [{xstats.get('transport')}: "
+                wire = (f"   [wire: "
                         f"{100 * shm_bytes / total:.1f}% of payload bytes "
                         f"via shm, {inline_bytes / ingests:.0f} B pickled/chunk]")
         runs.append(run)
@@ -209,7 +203,6 @@ def main(argv=None) -> int:
         "streams": scale["streams"],
         "observations": observations,
         "window": scale["window"],
-        "transport": args.transport,
         "runs": runs,
         "parity_ok": parity_ok,
         "process_speedups_vs_inline": speedups_vs_inline,

@@ -267,13 +267,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise ReproError("--queue-capacity does not apply to --executor inline")
     if args.executor != "process" and args.shards is not None:
         raise ReproError("--shards requires --executor process")
-    if args.executor != "process" and args.transport is not None:
-        raise ReproError("--transport requires --executor process")
     if args.frame_size is not None:
         if args.executor != "process":
             raise ReproError("--frame-size requires --executor process")
-        if args.transport == "legacy":
-            raise ReproError("--frame-size does not apply to --transport legacy")
         if args.frame_size < 1:
             raise ReproError("--frame-size must be at least 1")
     if args.migration_buffer is not None:
@@ -352,7 +348,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             ("queue_capacity", args.queue_capacity),
             ("policy", args.policy),
             ("shards", shards),
-            ("transport", args.transport),
             ("frame_size", args.frame_size),
             ("migration_buffer", args.migration_buffer),
             ("cache_ttl", args.cache_ttl),
@@ -661,17 +656,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--shards", type=int, default=None,
                               help="worker processes for --executor process "
                                    "(default 2)")
-    serve_parser.add_argument("--transport", choices=("framed", "legacy"),
-                              default=None,
-                              help="parent<->shard wire transport for "
-                                   "--executor process: framed (batched "
-                                   "frames + shared-memory payloads; "
-                                   "default) or legacy (one pickle per "
-                                   "chunk)")
     serve_parser.add_argument("--frame-size", type=int, default=None,
-                              help="chunks per wire frame before an eager "
-                                   "flush (--executor process, framed "
-                                   "transport; default 32)")
+                              help="chunks per parent<->shard wire frame "
+                                   "before an eager flush (--executor "
+                                   "process; default 32)")
     serve_parser.add_argument("--migration-buffer", type=int, default=None,
                               help="chunks parked per resize for streams "
                                    "mid-migration before producers block "

@@ -223,23 +223,10 @@ class ShardRuntime:
             "state": stream.config.plugin.detector_state(stream.detector),
         }
 
-    def export_streams(self, stream_ids) -> dict:
-        """Extract streams for migration: config + detector state snapshots.
-
-        Batch form of :meth:`export_stream`; ids this runtime does not
-        hold are skipped, not errors.
-        """
-        exported: dict[str, dict] = {}
-        for stream_id in stream_ids:
-            payload = self.export_stream(stream_id)
-            if payload is not None:
-                exported[stream_id] = payload
-        return exported
-
     def capture_streams(self) -> dict:
         """Non-destructive state capture of every stream this shard holds.
 
-        Same payload shape as :meth:`export_streams`
+        One :meth:`export_stream` payload per stream
         (``stream_id -> {"config", "state"}``) but the streams stay
         registered and keep serving — this is what a service snapshot
         collects over the wire while the fleet is quiescent (drained).

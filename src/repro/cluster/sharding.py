@@ -61,7 +61,7 @@ import numpy as np
 
 from repro.cluster.base import Executor
 from repro.cluster.partition import HashRing
-from repro.cluster.shm import DEFAULT_RING_BYTES, ChunkRing
+from repro.cluster.shm import ChunkRing
 from repro.cluster.wire import (
     CaptureState,
     ChunkBounce,
@@ -98,8 +98,11 @@ def _shard_index(shard_id: str) -> tuple[int, str]:
     return (int(suffix) if suffix.isdigit() else 1 << 30, shard_id)
 
 
-#: Transports :class:`ProcessShardExecutor` speaks on the parent↔shard wire.
-TRANSPORTS = ("framed", "legacy")
+#: How long a partially-filled frame may wait for company before the
+#: background flusher ships it anyway: bounds the latency cost of framing
+#: for trickle traffic (an awaited single chunk must not wait on a frame
+#: that will never fill).
+FRAME_LINGER_SECONDS = 0.002
 
 #: Sentinel "owner" of an in-flight chunk parked for a migrating stream.
 #: Never collides with a real shard id (those are ``shard-N``), so a dead
@@ -118,8 +121,8 @@ class _Shard:
     reply_reader: Optional[object] = None
     restarts: int = 0
     failed: bool = False
-    # Framed transport: this process generation's shared-memory payload
-    # ring and the chunks accumulated for the next frame.
+    # This process generation's shared-memory payload ring and the chunks
+    # accumulated for the next frame.
     ring: Optional[ChunkRing] = None
     pending: list = field(default_factory=list)
     pending_since: Optional[float] = None
@@ -149,24 +152,12 @@ class ProcessShardExecutor(Executor):
         outruns the shards slows down instead of growing the command queues
         without limit (the process-side equivalent of the thread backend's
         bounded queue).
-    transport:
-        ``"framed"`` (default) batches up to ``frame_size`` chunks into one
-        :class:`~repro.cluster.wire.IngestFrame` per queue message with
-        array payloads riding each shard's shared-memory ring, and the
-        worker answers with one :class:`~repro.cluster.wire.ReplyFrame`
-        per frame; ``"legacy"`` is the original one-pickle-per-chunk path,
-        kept as a debugging fallback (both produce byte-identical reports).
     frame_size:
-        Chunks per frame before an eager flush (framed transport).
-    frame_linger_seconds:
-        How long a partially-filled frame may wait for company before the
-        background flusher ships it anyway.  Bounds the latency cost of
-        framing for trickle traffic (an awaited single chunk must not wait
-        on a frame that will never fill).
-    ring_bytes:
-        Capacity of each shard's shared-memory payload ring; ``0`` disables
-        shared memory (frames carry arrays inline — still one pickle pass
-        per batch).
+        Chunks batched into one :class:`~repro.cluster.wire.IngestFrame`
+        (one queue message, array payloads riding the shard's
+        shared-memory ring) before an eager flush; the worker answers each
+        frame with one :class:`~repro.cluster.wire.ReplyFrame`.  A partial
+        frame ships after :data:`FRAME_LINGER_SECONDS`.
     migration_buffer:
         How many chunks submitted to *migrating* streams may park in the
         parent while their stream's detector state is in flight during a
@@ -188,10 +179,7 @@ class ProcessShardExecutor(Executor):
         max_restarts: int = 3,
         ring_replicas: int = 64,
         capacity: int = 128,
-        transport: str = "framed",
         frame_size: int = 32,
-        frame_linger_seconds: float = 0.002,
-        ring_bytes: int = DEFAULT_RING_BYTES,
         migration_buffer: int = 64,
     ) -> None:
         super().__init__()
@@ -199,22 +187,11 @@ class ProcessShardExecutor(Executor):
             raise ValidationError("shards must be at least 1")
         if capacity < 1:
             raise ValidationError("capacity must be at least 1")
-        if transport not in TRANSPORTS:
-            raise ValidationError(
-                f"transport must be one of {TRANSPORTS} (got {transport!r})"
-            )
         if frame_size < 1:
             raise ValidationError("frame_size must be at least 1")
-        if frame_linger_seconds < 0:
-            raise ValidationError("frame_linger_seconds must be non-negative")
-        if ring_bytes < 0:
-            raise ValidationError("ring_bytes must be non-negative")
         if migration_buffer < 1:
             raise ValidationError("migration_buffer must be at least 1")
-        self.transport = transport
         self.frame_size = int(frame_size)
-        self.frame_linger = float(frame_linger_seconds)
-        self.ring_bytes = int(ring_bytes)
         self.shard_count = int(shards)
         self.capacity = int(capacity)
         self.max_restarts = int(max_restarts)
@@ -279,7 +256,7 @@ class ProcessShardExecutor(Executor):
         self._ingest_started: dict[int, float] = {}  # seq -> enqueue stamp
         self._shard_ingests: dict[str, int] = {}  # shard id -> chunks routed
         self._worker_metrics: dict[str, dict] = {}
-        # Framed transport bookkeeping: which ring block each in-flight
+        # Wire bookkeeping: which ring block each in-flight
         # chunk's payload occupies (released when the chunk resolves), the
         # background flusher that ships lingering partial frames, and the
         # pickle-avoidance counters the scaling benchmark reports.
@@ -317,14 +294,13 @@ class ProcessShardExecutor(Executor):
             target=self._collector_loop, name="repro-shard-collector", daemon=True
         )
         self._collector.start()
-        if self.transport == "framed":
-            # A partially-filled frame may wait at most ``frame_linger`` for
-            # company; this thread ships the stragglers so an awaited single
-            # chunk is never held hostage by a frame that will not fill.
-            self._flusher = threading.Thread(
-                target=self._flusher_loop, name="repro-frame-flusher", daemon=True
-            )
-            self._flusher.start()
+        # A partially-filled frame may wait at most FRAME_LINGER_SECONDS for
+        # company; this thread ships the stragglers so an awaited single
+        # chunk is never held hostage by a frame that will not fill.
+        self._flusher = threading.Thread(
+            target=self._flusher_loop, name="repro-frame-flusher", daemon=True
+        )
+        self._flusher.start()
 
     def _spawn(self, shard: _Shard, respawn: bool = False) -> None:
         """(Re)start one shard process and re-register its streams.
@@ -343,11 +319,7 @@ class ProcessShardExecutor(Executor):
             shard.ring = None
         shard.pending.clear()
         shard.pending_since = None
-        if self.transport == "framed" and self.ring_bytes > 0:
-            shard.ring = ChunkRing.create(self.ring_bytes)
-        ring_spec = (
-            (shard.ring.name, shard.ring.capacity) if shard.ring is not None else None
-        )
+        shard.ring = ChunkRing.create()
         shard.commands = self._ctx.Queue()
         shard.control = self._ctx.Queue()
         # Replies travel over a dedicated pipe with exactly one writer (this
@@ -360,11 +332,11 @@ class ProcessShardExecutor(Executor):
             args=(
                 shard.shard_id,
                 shard.commands,
+                shard.control,
                 writer,
+                (shard.ring.name, shard.ring.capacity),
                 self._cache_config,
                 self._metrics_on,
-                ring_spec,
-                shard.control,
             ),
             daemon=True,
         )
@@ -400,8 +372,22 @@ class ProcessShardExecutor(Executor):
             )
 
     # ------------------------------------------------------------------
-    # Framed transport plumbing
+    # Framing
     # ------------------------------------------------------------------
+    def _buffer_chunk(self, shard: _Shard, chunk: IngestChunk) -> None:
+        """Add one chunk to the shard's next frame, flushing a full frame
+        (caller holds the lifecycle lock).
+
+        The chunk's seq is already in flight (capacity, completion and
+        trace are recorded), so a buffered chunk is indistinguishable from
+        an enqueued one to every other subsystem.
+        """
+        shard.pending.append(chunk)
+        if shard.pending_since is None:
+            shard.pending_since = time.monotonic()
+        if len(shard.pending) >= self.frame_size:
+            self._flush_shard(shard)
+
     def _flush_shard(self, shard: _Shard) -> None:
         """Ship a shard's buffered chunks as one frame (caller holds the
         lifecycle lock).
@@ -462,7 +448,7 @@ class ProcessShardExecutor(Executor):
         # Wakes at half the linger so a partial frame overshoots its
         # deadline by at most ~linger/2; the lifecycle lock serialises each
         # flush against ingest and crash handling.
-        interval = max(self.frame_linger / 2, 0.0005)
+        interval = FRAME_LINGER_SECONDS / 2
         while not self._flusher_stop.wait(interval):
             now = time.monotonic()
             with self._lifecycle:
@@ -472,7 +458,7 @@ class ProcessShardExecutor(Executor):
                     if (
                         shard.pending
                         and shard.pending_since is not None
-                        and now - shard.pending_since >= self.frame_linger
+                        and now - shard.pending_since >= FRAME_LINGER_SECONDS
                     ):
                         self._flush_shard(shard)
 
@@ -638,26 +624,16 @@ class ProcessShardExecutor(Executor):
                                 )
                                 self._chunk_traces[seq] = (trace, wire_span)
                                 context = trace.wire_context(wire_span)
-                            chunk = IngestChunk(
-                                seq=seq,
-                                stream_id=state.stream_id,
-                                values=values,
-                                enqueued_at=stamp,
-                                trace=context,
+                            self._buffer_chunk(
+                                shard,
+                                IngestChunk(
+                                    seq=seq,
+                                    stream_id=state.stream_id,
+                                    values=values,
+                                    enqueued_at=stamp,
+                                    trace=context,
+                                ),
                             )
-                            if self.transport == "framed":
-                                # Buffer toward a frame; the seq is already
-                                # in-flight (capacity, completion, trace all
-                                # recorded above), so a buffered chunk is
-                                # indistinguishable from an enqueued one to
-                                # every other subsystem.
-                                shard.pending.append(chunk)
-                                if shard.pending_since is None:
-                                    shard.pending_since = time.monotonic()
-                                if len(shard.pending) >= self.frame_size:
-                                    self._flush_shard(shard)
-                            else:
-                                shard.commands.put(chunk)
                             return
             # A dead shard (not necessarily this stream's) may be pinning
             # the capacity with chunks it will never acknowledge; reap all
@@ -987,7 +963,6 @@ class ProcessShardExecutor(Executor):
             self._migrations[epoch] = {
                 "out_pending": {},  # source shard id -> process at enqueue time
                 "in_pending": {},  # dest shard id -> un-acked MigrateIn count
-                "states": {},  # batched payloads (MigrateOutDone compat)
                 "moved": {},  # stream id -> config snapshot
                 "source": {},  # stream id -> source shard id
                 "arrived": {},  # stream id -> payload (None = fresh fallback)
@@ -1340,13 +1315,6 @@ class ProcessShardExecutor(Executor):
             self._safe_complete(completion, None, True)
             return
         stamp = time.monotonic() if self._metrics_on or context is not None else None
-        chunk = IngestChunk(
-            seq=seq,
-            stream_id=stream_id,
-            values=values,
-            enqueued_at=stamp,
-            trace=context,
-        )
         with self._cv:
             if seq not in self._outstanding:
                 return  # close() raced us and already resolved it as lost
@@ -1356,14 +1324,16 @@ class ProcessShardExecutor(Executor):
             )
             if stamp is not None and self._metrics_on:
                 self._ingest_started[seq] = stamp
-        if self.transport == "framed":
-            dest.pending.append(chunk)
-            if dest.pending_since is None:
-                dest.pending_since = time.monotonic()
-            if len(dest.pending) >= self.frame_size:
-                self._flush_shard(dest)
-        else:
-            dest.commands.put(chunk)
+        self._buffer_chunk(
+            dest,
+            IngestChunk(
+                seq=seq,
+                stream_id=stream_id,
+                values=values,
+                enqueued_at=stamp,
+                trace=context,
+            ),
+        )
 
     def _prune_epoch_locked(self, epoch: int) -> None:
         """Drop a finished epoch record once nothing references it (caller
@@ -1608,8 +1578,7 @@ class ProcessShardExecutor(Executor):
     def _handle_reply(self, reply) -> None:
         if isinstance(reply, ReplyFrame):
             # One message, many acknowledgements: unwrap in frame order so
-            # per-chunk handling (completions, traces, ring recycling) is
-            # identical to the legacy one-reply-per-chunk path.
+            # every chunk gets its own completion, trace and ring recycling.
             for entry in reply.replies:
                 self._handle_reply(entry)
             return
@@ -1649,13 +1618,8 @@ class ProcessShardExecutor(Executor):
             with self._cv:
                 record = self._migrations.get(reply.epoch)
                 if record is not None:
-                    # ``states`` is normally empty now (the payloads rode
-                    # per-stream MigrateStreamDone messages); folding any
-                    # batched leftovers keeps the wire contract permissive.
-                    record["states"].update(reply.states)
-                    for sid, payload in reply.states.items():
-                        if sid not in record.get("installed", ()):
-                            record.setdefault("arrived", {})[sid] = payload
+                    # Every stream's state already rode its own
+                    # MigrateStreamDone; the marker only closes the source.
                     record["out_pending"].pop(reply.shard_id, None)
                     self._prune_epoch_locked(reply.epoch)
                     self._cv.notify_all()
@@ -1857,13 +1821,12 @@ class ProcessShardExecutor(Executor):
     def drain(self, timeout: Optional[float] = None) -> bool:
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
-            if self.transport == "framed":
-                # Ship every partial frame now instead of waiting out the
-                # linger: a drain means "no more company is coming".
-                with self._lifecycle:
-                    if not self._closed:
-                        for shard in self._shards.values():
-                            self._flush_shard(shard)
+            # Ship every partial frame now instead of waiting out the
+            # linger: a drain means "no more company is coming".
+            with self._lifecycle:
+                if not self._closed:
+                    for shard in self._shards.values():
+                        self._flush_shard(shard)
             with self._cv:
                 if not self._outstanding:
                     break
@@ -1888,7 +1851,6 @@ class ProcessShardExecutor(Executor):
                 "executor": self.name,
                 "shards": self.shard_count,
                 "capacity": self.capacity,
-                "transport": self.transport,
                 "frame_size": self.frame_size,
                 "frames_sent": self._frames_sent,
                 "framed_chunks": self._framed_chunks,

@@ -40,14 +40,13 @@ import threading
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Optional
 
 import numpy as np
 
 #: Prefix of every ring segment name (what the leak tests scan /dev/shm for).
 RING_NAME_PREFIX = "repro-ring-"
 
-#: Default per-shard ring capacity.  A serving chunk is a few KiB (200
+#: Per-shard ring capacity.  A serving chunk is a few KiB (200
 #: float64 observations is 1.6 KiB), so 4 MiB holds far more chunks than the
 #: executor's in-flight bound ever admits; bigger payloads just fall back.
 DEFAULT_RING_BYTES = 4 * 1024 * 1024

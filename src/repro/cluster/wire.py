@@ -18,7 +18,8 @@ The protocol is deliberately small:
   every chunk is acknowledged exactly once, which is what ``drain()``
   counts; when tracing is on the chunk carries a
   :class:`~repro.obs.trace.TraceContext` and the reply ships the
-  worker-side spans back for re-parenting;
+  worker-side spans back for re-parenting.  Chunks always travel batched
+  in frames (see *Framing* below);
 * ``MigrateOut`` → ``MigrateStreamDone``\\ * → ``MigrateOutDone`` — live
   rebalancing: the worker extracts the named streams *one at a time*,
   answering each with a ``MigrateStreamDone`` carrying that stream's
@@ -48,22 +49,21 @@ Because each shard's command queue and reply pipe are FIFO, a
 after it — the migration machinery leans on that ordering instead of extra
 round trips.
 
-Framed transport
-----------------
-Under the default ``framed`` transport the per-chunk messages above are the
-*logical* protocol but not the physical one: the parent packs up to
-``frame_size`` pending :class:`IngestChunk`\\ s into one :class:`IngestFrame`
-(a single pickle pass for the whole batch) and the worker answers each
-frame with one :class:`ReplyFrame` carrying the corresponding
+Framing
+-------
+The per-chunk messages above are the *logical* protocol but not the
+physical one: the parent packs up to ``frame_size`` pending
+:class:`IngestChunk`\\ s into one :class:`IngestFrame` (a single pickle
+pass for the whole batch) and the worker answers each frame with one
+:class:`ReplyFrame` carrying the corresponding
 :class:`IngestReply`/:class:`WorkerFailure` entries.  Numeric payloads do
 not ride the pickle at all when a shard's shared-memory
 :class:`~repro.cluster.shm.ChunkRing` has room: :func:`encode_frame` copies
 the chunk's array into the ring and ships a
 :class:`~repro.cluster.shm.PayloadRef` instead; :func:`decode_frame`
 rebuilds the array on the worker side.  A full ring (or an un-ringable
-dtype) falls back to carrying the array inline, and the ``legacy``
-transport skips framing entirely — both fallbacks produce byte-identical
-chunks, which is what the codec's property tests pin.  Every non-ingest
+dtype) falls back to carrying the array inline — byte-identical chunks
+either way, which is what the codec's property tests pin.  Every non-ingest
 command still travels unframed, *after* the pending frame is flushed, so
 the FIFO ordering contract above survives framing.
 """
@@ -294,16 +294,13 @@ class ChunkBounce:
 class MigrateOutDone:
     """End-of-extraction marker closing one :class:`MigrateOut` request.
 
-    ``states`` maps ``stream_id -> {"config": dict, "state": dict}`` for
-    any requested streams not already shipped as per-stream
-    :class:`MigrateStreamDone` replies (current workers stream everything
-    and send this marker empty; the field remains for mixed-version
-    tolerance).
+    Every requested stream's state has already shipped as its own
+    :class:`MigrateStreamDone`; the marker tells the parent this source
+    has nothing more to deliver for the epoch.
     """
 
     shard_id: str
     epoch: int
-    states: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -348,7 +345,7 @@ class StateCaptureReply:
 
 
 # ----------------------------------------------------------------------
-# Framed transport: many chunks per message, payloads in shared memory
+# Framing: many chunks per message, payloads in shared memory
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class FramedChunk:

@@ -4,12 +4,12 @@
 module-level function (required by the ``spawn`` start method) that owns a
 private :class:`~repro.cluster.runtime.ShardRuntime` — its own detectors,
 explainers and caches — and speaks the :mod:`repro.cluster.wire` protocol:
-commands in, one reply per ingest out.
+commands in, one reply per ingest frame out.
 
-Under the framed transport the ingest unit is an
-:class:`~repro.cluster.wire.IngestFrame`: the worker decodes each entry
-(reading shared-memory payloads off its :class:`~repro.cluster.shm.ChunkRing`),
-serves the chunks in frame order and answers with a single
+The ingest unit is an :class:`~repro.cluster.wire.IngestFrame`: the worker
+decodes each entry (reading shared-memory payloads off its
+:class:`~repro.cluster.shm.ChunkRing`), serves the chunks in frame order
+and answers with a single
 :class:`~repro.cluster.wire.ReplyFrame` — one deserialisation and one
 serialisation pass per batch instead of per chunk.
 
@@ -79,11 +79,7 @@ from repro.service.cache import SharedCaches
 def _serve_chunk(
     runtime: ShardRuntime, shard_id: str, batch_wait, command: IngestChunk
 ) -> IngestReply:
-    """Run one logical chunk through the runtime, returning its reply.
-
-    Shared by the framed and legacy paths so batching cannot change what a
-    chunk computes — only how it travels.
-    """
+    """Run one logical chunk through the runtime, returning its reply."""
     trace_spans = None
     if command.enqueued_at is not None:
         # Monotonic clocks are system-wide on Linux, so the parent's
@@ -125,14 +121,19 @@ def _serve_chunk(
     return reply
 
 
+def _command_name(command) -> str:
+    """Wire name of a command as the main loop holds it (frames decoded)."""
+    return "IngestFrame" if isinstance(command, list) else type(command).__name__
+
+
 def shard_worker_main(
     shard_id: str,
     commands,
+    control,
     replies,
+    ring_spec,
     cache_config=None,
     metrics_enabled: bool = False,
-    ring_spec=None,
-    control=None,
 ) -> None:
     """Serve one shard until told to shut down.
 
@@ -142,11 +143,22 @@ def shard_worker_main(
         This shard's identifier (used to attribute failures).
     commands:
         Multiprocessing queue of wire commands, parent -> this worker.
+    control:
+        Priority control lane (a second multiprocessing queue) carrying
+        only :class:`~repro.cluster.wire.MigrateOut` commands.  Polled
+        non-blocking ahead of ``commands`` and between the chunks of the
+        frame currently being served, so a migration's extraction starts
+        within one chunk's latency even under a deep ingest backlog.
     replies:
         Write end of this worker's private reply pipe
         (:class:`multiprocessing.connection.Connection`), worker -> parent.
         One writer per pipe: a worker dying mid-``send`` can corrupt only
         its own pipe, never a lock shared with its siblings.
+    ring_spec:
+        ``(name, capacity)`` of this shard's parent-owned shared-memory
+        :class:`~repro.cluster.shm.ChunkRing`.  The worker only ever
+        *reads* payloads; the parent owns allocation, recycling and
+        unlinking.
     cache_config:
         Optional keyword arguments for this shard's private
         :class:`~repro.service.cache.SharedCaches`.
@@ -156,18 +168,6 @@ def shard_worker_main(
         labelled with this shard's id) and ships its ``state_dict`` inside
         every :class:`~repro.cluster.wire.ShardStatsReply`, where the
         parent merges it into the service-wide registry.
-    ring_spec:
-        ``(name, capacity)`` of this shard's parent-owned shared-memory
-        :class:`~repro.cluster.shm.ChunkRing` (framed transport), or
-        ``None`` under the legacy transport.  The worker only ever *reads*
-        payloads; the parent owns allocation, recycling and unlinking.
-    control:
-        Priority control lane (a second multiprocessing queue) carrying
-        only :class:`~repro.cluster.wire.MigrateOut` commands.  Polled
-        non-blocking ahead of ``commands`` and between the chunks of the
-        frame currently being served, so a migration's extraction starts
-        within one chunk's latency even under a deep ingest backlog.
-        ``None`` (tests driving the loop directly) disables the lane.
     """
     try:
         # Third-party backends must exist on *this* side of the wire too:
@@ -185,17 +185,13 @@ def shard_worker_main(
             WorkerFailure(shard_id, f"backend entry-point loading failed: {exc!r}")
         )
     ring = None
-    if ring_spec is not None:
-        try:
-            ring = ChunkRing.attach(*ring_spec)
-        except Exception as exc:
-            # Served chunks will still arrive (inline fallback never hits
-            # this worker: the parent wrote into the ring successfully or
-            # inlined), so a missing ring surfaces per chunk at decode;
-            # report the attach failure once, attributably, up front.
-            replies.send(
-                WorkerFailure(shard_id, f"chunk ring attach failed: {exc!r}")
-            )
+    try:
+        ring = ChunkRing.attach(*ring_spec)
+    except Exception as exc:
+        # Chunks whose payload the parent inlined still decode without the
+        # ring; a shared-memory payload surfaces per chunk at decode.
+        # Report the attach failure once, attributably, up front.
+        replies.send(WorkerFailure(shard_id, f"chunk ring attach failed: {exc!r}"))
     metrics = MetricsRegistry(enabled=True) if metrics_enabled else None
     batch_wait = stage_histogram(metrics, "batch_wait", shard=shard_id)
     runtime = ShardRuntime(
@@ -207,12 +203,20 @@ def shard_worker_main(
     replies.send(WorkerReady(shard_id=shard_id))
 
     # Commands swept out of the queue by a MigrateOut; always served, in
-    # arrival order, before the queue is read again.
+    # arrival order, before the queue is read again.  Ingest frames sit
+    # here (and travel the main loop) decoded: a list of IngestChunk /
+    # WorkerFailure entries.
     backlog: deque = deque()
     # Streams this worker extracted via MigrateOut: a chunk that reaches
     # us for one of them after the export (a sweep straggler) bounces back
     # to the parent instead of being silently acknowledged empty.
     exported: set = set()
+
+    def _receive(command):
+        """Decode an ingest frame into its entries; pass anything else."""
+        if isinstance(command, IngestFrame):
+            return decode_frame(command, ring, shard_id)
+        return command
 
     def _bounce(chunk: IngestChunk) -> ChunkBounce:
         return ChunkBounce(
@@ -242,17 +246,9 @@ def shard_worker_main(
                 # serialised the item, so give each expected item a
                 # breath; a straggler that still slips past bounces when
                 # the backlog reaches it.
-                item = commands.get(timeout=0.01)
+                backlog.append(_receive(commands.get(timeout=0.01)))
             except Empty:
                 break
-            if isinstance(item, IngestFrame):
-                for entry in decode_frame(item, ring, shard_id):
-                    if isinstance(entry, WorkerFailure):
-                        replies.send(entry)
-                    else:
-                        backlog.append(entry)
-            else:
-                backlog.append(item)
         # One pass over the backlog, in arrival order: chunks of migrating
         # streams bounce, and control commands that *concern* a migrating
         # stream apply now — the export below must observe them, exactly
@@ -262,8 +258,18 @@ def shard_worker_main(
         kept: deque = deque()
         for item in backlog:
             try:
-                if isinstance(item, IngestChunk) and item.stream_id in migrating:
-                    replies.send(_bounce(item))
+                if isinstance(item, list):
+                    staying = []
+                    for entry in item:
+                        if (
+                            isinstance(entry, IngestChunk)
+                            and entry.stream_id in migrating
+                        ):
+                            replies.send(_bounce(entry))
+                        else:
+                            staying.append(entry)
+                    if staying:
+                        kept.append(staying)
                 elif (
                     isinstance(item, RegisterStream)
                     and item.stream_id in migrating
@@ -285,13 +291,9 @@ def shard_worker_main(
                 else:
                     kept.append(item)
             except Exception as exc:
+                name = _command_name(item)
                 replies.send(
-                    WorkerFailure(
-                        shard_id,
-                        f"{type(item).__name__} failed: {exc!r}",
-                        seq=getattr(item, "seq", None),
-                        command=type(item).__name__,
-                    )
+                    WorkerFailure(shard_id, f"{name} failed: {exc!r}", command=name)
                 )
         backlog.clear()
         backlog.extend(kept)
@@ -312,69 +314,49 @@ def shard_worker_main(
                     state=payload,
                 )
             )
-        replies.send(MigrateOutDone(shard_id=shard_id, epoch=command.epoch, states={}))
+        replies.send(MigrateOutDone(shard_id=shard_id, epoch=command.epoch))
 
     def _poll_control() -> None:
-        if control is None:
-            return
         try:
-            priority = control.get_nowait()
+            command = control.get_nowait()
         except Empty:
             return
-        if isinstance(priority, MigrateOut):
-            _migrate_out(priority)
-        else:  # defensive: the lane only ever carries MigrateOut
-            backlog.append(priority)
+        _migrate_out(command)
 
-    def _serve_ingest(command) -> None:
-        """Serve one ingest command (frame or legacy chunk), reply included.
+    def _serve_frame(entries: list) -> None:
+        """Serve one decoded ingest frame, answering with one ReplyFrame.
 
-        One reply frame per ingest frame, entries in frame order; a chunk
-        that fails to decode or serve degrades to its own WorkerFailure
-        entry instead of poisoning its siblings.  The control lane is
-        polled between chunks, so a MigrateOut interrupts a long frame
-        after the current chunk — the rest of the frame's migrating
-        chunks then bounce (inside the same reply frame) instead of being
-        served against state that already left.
+        Entries are answered in frame order; a chunk that failed to decode
+        or fails to serve degrades to its own WorkerFailure entry instead
+        of poisoning its siblings.  The control lane is polled between
+        chunks, so a MigrateOut interrupts a long frame after the current
+        chunk — the rest of the frame's migrating chunks then bounce
+        (inside the same reply frame) instead of being served against
+        state that already left.
         """
-        try:
-            if isinstance(command, IngestFrame):
-                frame_replies = []
-                for item in decode_frame(command, ring, shard_id):
-                    if isinstance(item, WorkerFailure):
-                        frame_replies.append(item)
-                        continue
-                    _poll_control()
-                    if item.stream_id in exported and item.stream_id not in runtime:
-                        frame_replies.append(_bounce(item))
-                        continue
-                    try:
-                        frame_replies.append(
-                            _serve_chunk(runtime, shard_id, batch_wait, item)
-                        )
-                    except Exception as exc:
-                        frame_replies.append(
-                            WorkerFailure(
-                                shard_id,
-                                f"IngestChunk failed: {exc!r}",
-                                seq=item.seq,
-                                command="IngestChunk",
-                            )
-                        )
-                replies.send(ReplyFrame(replies=frame_replies))
-            elif command.stream_id in exported and command.stream_id not in runtime:
-                replies.send(_bounce(command))
-            else:
-                replies.send(_serve_chunk(runtime, shard_id, batch_wait, command))
-        except Exception as exc:
-            replies.send(
-                WorkerFailure(
-                    shard_id,
-                    f"{type(command).__name__} failed: {exc!r}",
-                    seq=getattr(command, "seq", None),
-                    command=type(command).__name__,
+        frame_replies = []
+        for item in entries:
+            if isinstance(item, WorkerFailure):
+                frame_replies.append(item)
+                continue
+            _poll_control()
+            if item.stream_id in exported and item.stream_id not in runtime:
+                frame_replies.append(_bounce(item))
+                continue
+            try:
+                frame_replies.append(
+                    _serve_chunk(runtime, shard_id, batch_wait, item)
                 )
-            )
+            except Exception as exc:
+                frame_replies.append(
+                    WorkerFailure(
+                        shard_id,
+                        f"IngestChunk failed: {exc!r}",
+                        seq=item.seq,
+                        command="IngestChunk",
+                    )
+                )
+        replies.send(ReplyFrame(replies=frame_replies))
 
     while True:
         _poll_control()
@@ -382,7 +364,7 @@ def shard_worker_main(
             command = backlog.popleft()
         else:
             try:
-                command = commands.get(timeout=0.05)
+                command = _receive(commands.get(timeout=0.05))
             except Empty:
                 continue
         try:
@@ -393,18 +375,12 @@ def shard_worker_main(
             if isinstance(command, CrashShard):
                 # Simulated hard crash: no cleanup, no goodbye message.
                 os._exit(command.exit_code)
-            if isinstance(command, (IngestFrame, IngestChunk)):
-                _serve_ingest(command)
+            if isinstance(command, list):
+                _serve_frame(command)
             elif isinstance(command, RegisterStream):
                 runtime.register(command.stream_id, command.config)
             elif isinstance(command, RemoveStream):
                 runtime.remove(command.stream_id)
-            elif isinstance(command, MigrateOut):
-                # Main-queue fallback path (no control lane, or a test
-                # driving the loop directly): same sweep-and-bounce
-                # handler, arriving FIFO behind the backlog instead of
-                # interrupting it.
-                _migrate_out(command)
             elif isinstance(command, MigrateIn):
                 runtime.import_streams(command.streams)
                 exported.difference_update(command.streams)
@@ -440,11 +416,7 @@ def shard_worker_main(
                     WorkerFailure(shard_id, f"unknown command {command!r}")
                 )
         except Exception as exc:
+            name = _command_name(command)
             replies.send(
-                WorkerFailure(
-                    shard_id,
-                    f"{type(command).__name__} failed: {exc!r}",
-                    seq=getattr(command, "seq", None),
-                    command=type(command).__name__,
-                )
+                WorkerFailure(shard_id, f"{name} failed: {exc!r}", command=name)
             )

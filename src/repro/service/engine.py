@@ -190,15 +190,10 @@ class ExplanationService:
         (default ``"spawn"``).  The CLI cross-validates these flag/executor
         combinations; the library constructor simply ignores options the
         chosen backend does not take.
-    transport:
-        Parent↔shard wire transport (``process`` executor only):
-        ``"framed"`` (default) batches chunks into one message per frame
-        with array payloads riding per-shard shared memory; ``"legacy"``
-        is the original one-pickle-per-chunk path, kept as a debugging
-        fallback.  Both produce byte-identical reports.
     frame_size:
-        Chunks per frame before an eager flush (``process`` executor,
-        framed transport only).
+        Chunks batched into one parent↔shard wire message (array payloads
+        riding per-shard shared memory) before an eager flush (``process``
+        executor only).
     migration_buffer:
         Chunks the parent will park per resize for streams that are
         mid-migration before applying backpressure (``process`` executor
@@ -253,7 +248,6 @@ class ExplanationService:
         executor: Union[str, Executor] = "thread",
         shards: int = 2,
         mp_context: Optional[str] = None,
-        transport: str = "framed",
         frame_size: int = 32,
         migration_buffer: int = 64,
         metrics: bool = False,
@@ -311,7 +305,6 @@ class ExplanationService:
                     shards,
                     mp_context,
                     self._cache_lifecycle,
-                    transport,
                     frame_size,
                     migration_buffer,
                 ),
@@ -331,8 +324,7 @@ class ExplanationService:
     @staticmethod
     def _executor_options(
         name: str, workers, max_batch, capacity, policy, shards, mp_context,
-        cache_lifecycle=None, transport="framed", frame_size=32,
-        migration_buffer=64,
+        cache_lifecycle=None, frame_size=32, migration_buffer=64,
     ) -> dict:
         """The constructor options each named executor understands."""
         if name == "thread":
@@ -347,7 +339,6 @@ class ExplanationService:
                 "shards": shards,
                 "mp_context": mp_context,
                 "capacity": capacity,
-                "transport": transport,
                 "frame_size": frame_size,
                 "migration_buffer": migration_buffer,
             }

@@ -195,6 +195,22 @@ class TestServeCommand:
         assert code == 3
         assert "--workers" in capsys.readouterr().err
 
+    def test_serve_validates_frame_size(self, fleet_files, capsys):
+        code = main(["serve", fleet_files[0], "--executor", "process",
+                     "--frame-size", "0"])
+        assert code == 3
+        assert "--frame-size must be at least 1" in capsys.readouterr().err
+        code = main(["serve", fleet_files[0], "--frame-size", "8"])
+        assert code == 3
+        assert "--frame-size requires --executor process" in capsys.readouterr().err
+
+    def test_serve_has_no_transport_flag(self, fleet_files):
+        # The framed wire is the only parent<->shard transport.
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["serve", fleet_files[0], "--executor",
+                                       "process", "--transport", "framed"])
+        assert exit_info.value.code == 2
+
     def test_serve_elastic_shards(self, fleet_files, capsys):
         code = main([
             "serve", *fleet_files,

@@ -249,7 +249,6 @@ class TestLiveResize:
         executor._migrations[7] = {
             "out_pending": {"shard-0": object()},
             "in_pending": {"shard-0": object()},
-            "states": {},
         }
         executor._stats_collections[8] = {"expected": {"shard-0": object()}, "replies": {}}
         executor._handle_reply(
@@ -318,12 +317,9 @@ class TestLiveResize:
 class TestConcurrentMigrationProperty:
     """Producers racing a resize must never perturb the canonical report."""
 
-    @pytest.mark.parametrize("transport", ["framed", "legacy"])
     @settings(max_examples=2, deadline=None)
     @given(data=st.data())
-    def test_concurrent_producers_mid_resize_parity(
-        self, transport, drifted_values, data
-    ):
+    def test_concurrent_producers_mid_resize_parity(self, drifted_values, data):
         chunk = data.draw(st.integers(min_value=40, max_value=90))
         values = drifted_values[:480]
         rounds = list(range(0, values.size, chunk))
@@ -336,7 +332,6 @@ class TestConcurrentMigrationProperty:
         with ExplanationService(
             executor="process",
             shards=2,
-            transport=transport,
             default_config=StreamConfig(window_size=150),
         ) as service:
             for stream_id in STREAM_IDS:

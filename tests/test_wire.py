@@ -4,7 +4,7 @@ Covers the :class:`~repro.cluster.shm.ChunkRing` allocator (fill, wrap,
 out-of-order frees, fallback on exhaustion), property-based round-trip of
 the frame codec (arbitrary dtypes/shapes encode → transport → decode
 byte-identically, with payloads in shared memory, inline, or mixed),
-framed-vs-legacy report parity, and crash safety: a SIGKILLed shard leaks
+report parity with the inline replay, and crash safety: a SIGKILLed shard leaks
 no ``/dev/shm`` segment, a corrupt frame entry surfaces as a
 :class:`~repro.cluster.wire.WorkerFailure` instead of a hang, and lost
 chunks still finalize their traces.
@@ -24,6 +24,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import ProcessShardExecutor
 from repro.cluster.shm import RING_NAME_PREFIX, ChunkRing, PayloadRef, RingFull
 from repro.cluster.wire import (
     FramedChunk,
@@ -355,9 +356,9 @@ class TestFrameCodec:
 # ----------------------------------------------------------------------
 # Transport parity and knobs
 # ----------------------------------------------------------------------
-def replay_report(drifted_values, **service_kwargs):
+def replay_report(drifted_values, executor="process", **service_kwargs):
     with ExplanationService(
-        executor="process",
+        executor=executor,
         default_config=StreamConfig(window_size=WINDOW),
         **service_kwargs,
     ) as service:
@@ -373,37 +374,35 @@ def replay_report(drifted_values, **service_kwargs):
 
 
 class TestTransportParity:
-    def test_framed_and_legacy_reports_are_byte_identical(self, drifted_values):
-        framed, framed_stats = replay_report(
-            drifted_values, shards=2, transport="framed"
-        )
-        legacy, legacy_stats = replay_report(
-            drifted_values, shards=2, transport="legacy"
-        )
+    def test_framed_report_matches_inline_replay(self, drifted_values):
+        framed, framed_stats = replay_report(drifted_values, shards=2)
+        inline, _ = replay_report(drifted_values, executor="inline")
         assert json.dumps(framed.canonical_dict(), sort_keys=True) == json.dumps(
-            legacy.canonical_dict(), sort_keys=True
+            inline.canonical_dict(), sort_keys=True
         )
         assert framed.alarms_raised > 0
-        assert framed_stats["transport"] == "framed"
         assert framed_stats["frames_sent"] >= 1
         assert framed_stats["framed_chunks"] == framed_stats["ingests"]
         assert framed_stats["payload_bytes_shm"] > 0
-        assert legacy_stats["transport"] == "legacy"
-        assert legacy_stats["frames_sent"] == 0
-        assert legacy_stats["payload_bytes_shm"] == 0
 
     def test_frame_size_one_still_frames_correctly(self, drifted_values):
         report, stats = replay_report(
-            drifted_values[:600], shards=1, transport="framed", frame_size=1
+            drifted_values[:600], shards=1, frame_size=1
         )
         assert report.alarms_raised >= 0
         assert stats["frames_sent"] == stats["ingests"]
 
     def test_transport_validation(self):
         with pytest.raises(ValidationError):
-            ExplanationService(executor="process", shards=1, transport="carrier-pigeon")
-        with pytest.raises(ValidationError):
             ExplanationService(executor="process", shards=1, frame_size=0)
+        # The framed wire is the only transport; its linger and ring size
+        # are fixed, not settable.
+        with pytest.raises(TypeError):
+            ExplanationService(executor="process", shards=1, transport="framed")
+        with pytest.raises(TypeError):
+            ProcessShardExecutor(shards=1, frame_linger_seconds=0.01)
+        with pytest.raises(TypeError):
+            ProcessShardExecutor(shards=1, ring_bytes=0)
 
 
 # ----------------------------------------------------------------------
